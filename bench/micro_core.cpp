@@ -1,12 +1,20 @@
 // Microbenchmarks (google-benchmark) for the hot paths of the library:
 // request distribution, routing-table construction, workload sampling,
-// path-latency lookup, the event queue, host-side access counting, and a
-// DispatchRequest-loop macro case over the full driver.
+// path-latency lookup, the event queue, host-side access counting, a
+// DispatchRequest-loop macro case over the full driver, and the real-mode
+// layers under each request: the wire encoder and the binlog capture
+// append.
 #include <benchmark/benchmark.h>
+#include <unistd.h>
 
+#include <cstdio>
+#include <filesystem>
 #include <memory>
+#include <string>
 #include <unordered_map>
+#include <vector>
 
+#include "binlog/binlog.h"
 #include "common/rng.h"
 #include "common/slab_map.h"
 #include "common/zipf.h"
@@ -19,6 +27,7 @@
 #include "net/uunet.h"
 #include "sim/event_queue.h"
 #include "sim/transfer.h"
+#include "wire/codec.h"
 #include "workload/workload.h"
 
 namespace {
@@ -276,6 +285,71 @@ void BM_BatchedDispatch(benchmark::State& state) {
   state.SetItemsProcessed(requests);
 }
 BENCHMARK(BM_BatchedDispatch)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+
+// The wire encoder with a fresh vector per frame (the spool path) and
+// appending into a reused buffer (the connection's output buffer).
+void BM_WireEncode(benchmark::State& state) {
+  Rng rng(1);
+  std::uint64_t seq = 1;
+  for (auto _ : state) {
+    const auto object = static_cast<ObjectId>(rng.NextBounded(1000));
+    benchmark::DoNotOptimize(wire::Encode(seq++, wire::Request{object, 7}));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_WireEncode);
+
+void BM_WireEncodeAppend(benchmark::State& state) {
+  Rng rng(1);
+  std::vector<std::uint8_t> buf;
+  std::uint64_t seq = 1;
+  for (auto _ : state) {
+    const auto object = static_cast<ObjectId>(rng.NextBounded(1000));
+    buf.clear();
+    wire::EncodeAppend(buf, seq++, wire::Request{object, 7});
+    benchmark::DoNotOptimize(buf.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_WireEncodeAppend);
+
+// Capture appends of one request frame each (~60 B records) into a
+// page-cache file, Arg records per Flush: /1 is the per-record write of
+// the spool and WAL, /64 a group-committed read pass.
+void BM_BinlogAppend(benchmark::State& state) {
+  const auto per_flush = static_cast<int>(state.range(0));
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("radar_micro_binlog_" + std::to_string(::getpid()) + ".bin"))
+          .string();
+  binlog::BinlogWriter writer;
+  std::string error;
+  if (!writer.Open(path, binlog::FsyncPolicy::kNone, &error)) {
+    state.SkipWithError(error.c_str());
+    return;
+  }
+  Rng rng(1);
+  const std::vector<std::uint8_t> frame = wire::Encode(
+      1, wire::Request{static_cast<ObjectId>(rng.NextBounded(1000)), 7});
+  std::int64_t records = 0;
+  for (auto _ : state) {
+    for (int i = 0; i < per_flush; ++i) {
+      writer.Stage(records + i, 4, 0, frame.data(), frame.size());
+    }
+    benchmark::DoNotOptimize(writer.Flush());
+    records += per_flush;
+    if (records % (1 << 16) < per_flush) {
+      state.PauseTiming();  // keep the file small
+      writer.Reset();
+      state.ResumeTiming();
+    }
+  }
+  writer.Close();
+  std::remove(path.c_str());
+  state.SetItemsProcessed(records);
+}
+BENCHMARK(BM_BinlogAppend)->Arg(1)->Arg(64);
 
 }  // namespace
 

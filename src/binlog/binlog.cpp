@@ -26,15 +26,15 @@ std::array<std::uint32_t, 256> BuildCrcTable() {
   return table;
 }
 
-void PutU32(std::vector<std::uint8_t>& out, std::uint32_t v) {
+void StoreU32(std::uint8_t* p, std::uint32_t v) {
   for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::uint8_t>((v >> (8 * i)) & 0xff));
+    p[i] = static_cast<std::uint8_t>((v >> (8 * i)) & 0xff);
   }
 }
 
-void PutU64(std::vector<std::uint8_t>& out, std::uint64_t v) {
+void StoreU64(std::uint8_t* p, std::uint64_t v) {
   for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<std::uint8_t>((v >> (8 * i)) & 0xff));
+    p[i] = static_cast<std::uint8_t>((v >> (8 * i)) & 0xff);
   }
 }
 
@@ -84,43 +84,65 @@ bool BinlogWriter::Open(const std::string& path, FsyncPolicy fsync_policy,
   return true;
 }
 
-bool BinlogWriter::Append(std::int64_t time_us, std::int32_t src,
-                          std::int32_t dst, const std::uint8_t* payload,
-                          std::size_t payload_size) {
+bool BinlogWriter::Stage(std::int64_t time_us, std::int32_t src,
+                         std::int32_t dst, const std::uint8_t* payload,
+                         std::size_t payload_size) {
   RADAR_CHECK(is_open());
   RADAR_CHECK_LE(payload_size, static_cast<std::size_t>(kMaxRecordPayload));
-  scratch_.clear();
-  PutU32(scratch_, kRecordMagic);
-  PutU32(scratch_, static_cast<std::uint32_t>(payload_size));
-  PutU32(scratch_, Crc32(payload, payload_size));
-  PutU32(scratch_, 0);  // reserved
-  PutU64(scratch_, static_cast<std::uint64_t>(time_us));
-  PutU32(scratch_, static_cast<std::uint32_t>(src));
-  PutU32(scratch_, static_cast<std::uint32_t>(dst));
-  scratch_.insert(scratch_.end(), payload, payload + payload_size);
+  const std::size_t at = staged_.size();
+  staged_.resize(at + kRecordHeaderSize + payload_size);
+  std::uint8_t* out = staged_.data() + at;
+  StoreU32(out, kRecordMagic);
+  StoreU32(out + 4, static_cast<std::uint32_t>(payload_size));
+  StoreU32(out + 8, Crc32(payload, payload_size));
+  StoreU32(out + 12, 0);  // reserved
+  StoreU64(out + 16, static_cast<std::uint64_t>(time_us));
+  StoreU32(out + 24, static_cast<std::uint32_t>(src));
+  StoreU32(out + 28, static_cast<std::uint32_t>(dst));
+  if (payload_size > 0) {
+    std::memcpy(out + kRecordHeaderSize, payload, payload_size);
+  }
+  ++records_staged_;
+  return staged_.size() < kStageFlushBytes || Flush();
+}
 
-  // One write per record: a record is torn only if the OS tears the
-  // single write (the reader handles that), never by interleaving.
+bool BinlogWriter::Flush() {
+  if (staged_.empty()) return true;
+  RADAR_CHECK(is_open());
+  // One write per batch: records are only ever torn at the tail of the
+  // batch the OS tore (the reader handles that), never by interleaving.
+  bool ok = true;
   std::size_t off = 0;
-  while (off < scratch_.size()) {
-    const ssize_t n = ::write(fd_, scratch_.data() + off, scratch_.size() - off);
+  while (off < staged_.size()) {
+    const ssize_t n = ::write(fd_, staged_.data() + off, staged_.size() - off);
     if (n < 0) {
       if (errno == EINTR) continue;
-      return false;
+      ok = false;
+      break;
     }
     off += static_cast<std::size_t>(n);
   }
-  if (fsync_policy_ == FsyncPolicy::kEveryRecord) {
-    if (::fsync(fd_) != 0) return false;
+  if (ok && fsync_policy_ == FsyncPolicy::kEveryFlush) {
+    ok = ::fsync(fd_) == 0;
   }
-  ++records_written_;
-  return true;
+  if (ok) records_written_ += records_staged_;
+  staged_.clear();
+  records_staged_ = 0;
+  return ok;
+}
+
+bool BinlogWriter::Append(std::int64_t time_us, std::int32_t src,
+                          std::int32_t dst, const std::uint8_t* payload,
+                          std::size_t payload_size) {
+  return Stage(time_us, src, dst, payload, payload_size) && Flush();
 }
 
 bool BinlogWriter::Reset() {
   RADAR_CHECK(is_open());
+  staged_.clear();
+  records_staged_ = 0;
   if (::ftruncate(fd_, 0) != 0) return false;
-  if (fsync_policy_ == FsyncPolicy::kEveryRecord) {
+  if (fsync_policy_ == FsyncPolicy::kEveryFlush) {
     if (::fsync(fd_) != 0) return false;
   }
   return true;
@@ -128,6 +150,7 @@ bool BinlogWriter::Reset() {
 
 void BinlogWriter::Close() {
   if (fd_ >= 0) {
+    Flush();
     ::close(fd_);
     fd_ = -1;
   }

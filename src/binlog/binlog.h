@@ -8,6 +8,13 @@
 //   - capture: every frame a daemon receives can be appended for offline,
 //     deterministic replay through the simulator (binlog/replay.h).
 //
+// Writes are group-committed: Stage builds a record into the writer's
+// buffer and Flush hands every staged record to the OS with one write(2)
+// (plus one fsync under kEveryFlush). Append is Stage + Flush, so the
+// spool and the WAL stay per record; the transport stages the capture
+// frames of one read pass and flushes once at the end of the pass, before
+// any reply produced by that pass can leave the process.
+//
 // Record layout (little-endian):
 //
 //   offset  size  field
@@ -23,6 +30,8 @@
 // The reader validates magic, length, and CRC per record and stops at the
 // first record that fails — a writer killed mid-append (torn header, torn
 // payload, flipped bits) costs exactly the tail, never the valid prefix.
+// A torn batch is no different: the records of the batch that reached the
+// file whole are read back, the torn one and everything after it are not.
 // Reading is a pure function of the file bytes, so two reads of the same
 // file yield byte-identical record sequences (the replay determinism
 // anchor).
@@ -40,6 +49,9 @@ inline constexpr std::size_t kRecordHeaderSize = 32;
 /// Generous bound: spool/capture payloads are single wire frames (tens of
 /// bytes); anything larger is corruption.
 inline constexpr std::uint32_t kMaxRecordPayload = 1 << 20;
+/// Stage flushes on its own once this many bytes are staged, so a long
+/// read pass keeps the writer's buffer bounded.
+inline constexpr std::size_t kStageFlushBytes = 64 * 1024;
 
 /// IEEE CRC-32 (reflected, polynomial 0xEDB88320) of `data`.
 std::uint32_t Crc32(const std::uint8_t* data, std::size_t size);
@@ -48,9 +60,10 @@ enum class FsyncPolicy : std::uint8_t {
   /// Let the OS flush; a crash may lose recent records (the reader still
   /// stops cleanly at the last durable one).
   kNone,
-  /// fsync after every append: records survive power loss, at a syscall
-  /// per record. Daemons expose this as a flag.
-  kEveryRecord,
+  /// fsync after every Flush: a flushed record survives power loss, at
+  /// one extra syscall per flush (per record for Append, per read pass
+  /// for the capture). Daemons expose this as a flag.
+  kEveryFlush,
 };
 
 struct Record {
@@ -80,15 +93,30 @@ class BinlogWriter {
   bool is_open() const { return fd_ >= 0; }
   const std::string& path() const { return path_; }
 
-  /// Appends one record; returns false on I/O failure.
+  /// Builds one record into the buffer without writing it; the next
+  /// Flush (or Close) writes it. Flushes early once kStageFlushBytes are
+  /// staged. Returns false only when that early flush fails.
+  bool Stage(std::int64_t time_us, std::int32_t src, std::int32_t dst,
+             const std::uint8_t* payload, std::size_t payload_size);
+
+  /// Writes every staged record with one write (and, under kEveryFlush,
+  /// one fsync). Returns false on I/O failure; the batch is dropped then,
+  /// and the reader stops at whatever part of it was torn. A no-op when
+  /// nothing is staged.
+  bool Flush();
+
+  /// Stage + Flush: one record, written before returning.
   bool Append(std::int64_t time_us, std::int32_t src, std::int32_t dst,
               const std::uint8_t* payload, std::size_t payload_size);
 
-  /// Truncates the log to empty (spool drain). The file stays open.
+  /// Truncates the log to empty (spool drain), discarding anything
+  /// staged. The file stays open.
   bool Reset();
 
+  /// Flushes what is staged, then closes the file.
   void Close();
 
+  /// Records that reached the file (staged records count once flushed).
   std::uint64_t records_written() const { return records_written_; }
 
  private:
@@ -96,7 +124,8 @@ class BinlogWriter {
   FsyncPolicy fsync_policy_ = FsyncPolicy::kNone;
   std::string path_;
   std::uint64_t records_written_ = 0;
-  std::vector<std::uint8_t> scratch_;
+  std::uint64_t records_staged_ = 0;
+  std::vector<std::uint8_t> staged_;
 };
 
 /// Result of reading a log file: the valid record prefix plus how the

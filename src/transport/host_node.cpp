@@ -146,13 +146,14 @@ void HostNode::HandleRequest(NodeId from, std::uint64_t seq,
                              const wire::Request& req) {
   // Preference path of the response: this host, then the client's gateway
   // (real mode has no router database, so the path is the two endpoints).
-  std::vector<NodeId> path;
-  path.push_back(agent_.self());
+  // The buffer is reused, so a steady-state request allocates nothing.
+  path_.clear();
+  path_.push_back(agent_.self());
   if (config_.Has(req.gateway) && req.gateway != agent_.self()) {
-    path.push_back(req.gateway);
+    path_.push_back(req.gateway);
   }
   const bool hosted =
-      req.object >= 0 && agent_.RecordServicedIfHosted(req.object, path);
+      req.object >= 0 && agent_.RecordServicedIfHosted(req.object, path_);
   if (hosted) {
     ++counters_.requests_serviced;
   } else {

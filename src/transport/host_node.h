@@ -30,6 +30,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "binlog/binlog.h"
 #include "core/host_agent.h"
@@ -125,6 +126,7 @@ class HostNode final : public Handler {
   binlog::BinlogWriter wal_;
   std::map<NodeId, PeerStat> peer_stats_;
   std::map<std::uint64_t, Pending> pending_;
+  std::vector<NodeId> path_;  ///< HandleRequest's preference path
   Counters counters_;
   std::int64_t next_measure_at_ = -1;
   std::int64_t next_placement_at_ = -1;

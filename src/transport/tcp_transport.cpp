@@ -141,13 +141,13 @@ bool TcpTransport::EnsureSpool(PeerState& peer_state, NodeId peer) {
 
 std::uint64_t TcpTransport::Send(NodeId to, const wire::Message& msg) {
   const std::uint64_t seq = next_seq_++;
-  const std::vector<std::uint8_t> bytes = wire::Encode(seq, msg);
   PeerState& peer = PeerOf(to);
   const auto conn_it = peer.fd >= 0 ? conns_.find(peer.fd) : conns_.end();
   if (conn_it != conns_.end()) {
-    QueueBytes(conn_it->second, bytes.data(), bytes.size());
+    wire::EncodeAppend(WriteBuffer(conn_it->second), seq, msg);
     ++stats_.frames_sent;
   } else if (EnsureSpool(peer, to)) {
+    const std::vector<std::uint8_t> bytes = wire::Encode(seq, msg);
     if (peer.spool.Append(Now(), self_, to, bytes.data(), bytes.size())) {
       ++peer.spool_depth;
       ++stats_.frames_spooled;
@@ -177,14 +177,13 @@ bool TcpTransport::Flushed() const {
   return true;
 }
 
-void TcpTransport::QueueBytes(Conn& conn, const std::uint8_t* data,
-                              std::size_t size) {
+std::vector<std::uint8_t>& TcpTransport::WriteBuffer(Conn& conn) {
   // Compact the already-written prefix before growing the buffer.
   if (conn.woff > 0 && conn.woff == conn.wbuf.size()) {
     conn.wbuf.clear();
     conn.woff = 0;
   }
-  conn.wbuf.insert(conn.wbuf.end(), data, data + size);
+  return conn.wbuf;
 }
 
 void TcpTransport::StartDialsDue(std::int64_t now_us) {
@@ -268,9 +267,7 @@ void TcpTransport::OnConnected(int fd, Conn& conn) {
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
   conn.connecting = false;
   // Identify ourselves first; the peer adopts the connection on receipt.
-  const std::vector<std::uint8_t> hello =
-      wire::Encode(next_seq_++, wire::Hello{self_, role_});
-  QueueBytes(conn, hello.data(), hello.size());
+  wire::EncodeAppend(WriteBuffer(conn), next_seq_++, wire::Hello{self_, role_});
 }
 
 void TcpTransport::IdentifyConn(int fd, Conn& conn, NodeId peer) {
@@ -296,8 +293,9 @@ void TcpTransport::IdentifyConn(int fd, Conn& conn, NodeId peer) {
   if (!options_.spool_dir.empty()) {
     std::string error;
     if (const auto spooled = binlog::ReadBinlog(SpoolPath(peer), &error)) {
+      std::vector<std::uint8_t>& wbuf = WriteBuffer(conn);
       for (const binlog::Record& record : spooled->records) {
-        QueueBytes(conn, record.payload.data(), record.payload.size());
+        wbuf.insert(wbuf.end(), record.payload.begin(), record.payload.end());
         ++stats_.frames_drained;
         ++stats_.frames_sent;
       }
@@ -331,36 +329,38 @@ void TcpTransport::CloseConn(int fd) {
   }
 }
 
-void TcpTransport::ReadReady(int fd) {
-  auto it = conns_.find(fd);
-  if (it == conns_.end()) return;
-  Conn& conn = it->second;
+bool TcpTransport::FillReadBuffer(int fd, Conn& conn) {
   while (true) {
-    const std::size_t old_size = conn.rbuf.size();
-    conn.rbuf.resize(old_size + kReadChunk);
-    const ssize_t n = ::recv(fd, conn.rbuf.data() + old_size, kReadChunk, 0);
+    // Grow only when short: resize zero-fills the new tail, which must
+    // not happen on every recv.
+    if (conn.rbuf.size() - conn.rlen < kReadChunk) {
+      conn.rbuf.resize(conn.rlen + kReadChunk);
+    }
+    const std::size_t room = conn.rbuf.size() - conn.rlen;
+    const ssize_t n = ::recv(fd, conn.rbuf.data() + conn.rlen, room, 0);
     if (n > 0) {
-      conn.rbuf.resize(old_size + static_cast<std::size_t>(n));
-      if (static_cast<std::size_t>(n) < kReadChunk) break;
+      conn.rlen += static_cast<std::size_t>(n);
+      if (static_cast<std::size_t>(n) < room) return true;
       continue;
     }
-    conn.rbuf.resize(old_size);
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return true;
     if (n < 0 && errno == EINTR) continue;
-    CloseConn(fd);  // orderly close or hard error
-    return;
+    return false;  // orderly close or hard error
   }
+}
+
+bool TcpTransport::DispatchFrames(int fd, Conn& conn) {
   std::size_t off = 0;
-  while (off < conn.rbuf.size()) {
+  while (off < conn.rlen) {
     const wire::DecodeResult decoded =
-        wire::DecodeFrame(conn.rbuf.data() + off, conn.rbuf.size() - off);
+        wire::DecodeFrame(conn.rbuf.data() + off, conn.rlen - off);
     if (decoded.status == wire::DecodeStatus::kNeedMore) break;
     if (decoded.status != wire::DecodeStatus::kOk) {
       // Corrupt stream: this transport never resynchronizes mid-stream —
       // it drops the connection and lets the dial/accept path rebuild it.
       ++stats_.decode_errors;
       CloseConn(fd);
-      return;
+      return false;
     }
     const std::uint8_t* frame_bytes = conn.rbuf.data() + off;
     const std::size_t frame_size = decoded.consumed;
@@ -371,7 +371,7 @@ void TcpTransport::ReadReady(int fd) {
           hello->node == self_) {
         ++stats_.decode_errors;
         CloseConn(fd);
-        return;
+        return false;
       }
       IdentifyConn(fd, conn, hello->node);
       continue;
@@ -379,16 +379,35 @@ void TcpTransport::ReadReady(int fd) {
     if (std::holds_alternative<wire::Hello>(decoded.frame.msg)) continue;
     ++stats_.frames_received;
     if (capture_.is_open()) {
-      capture_.Append(Now(), conn.peer, self_, frame_bytes, frame_size);
+      capture_.Stage(Now(), conn.peer, self_, frame_bytes, frame_size);
     }
     handler_->OnFrame(conn.peer, decoded.frame);
     // The handler may have closed this very connection (e.g. Stop()).
     const auto again = conns_.find(fd);
-    if (again == conns_.end()) return;
+    if (again == conns_.end()) return false;
     RADAR_CHECK(&again->second == &conn);
   }
-  conn.rbuf.erase(conn.rbuf.begin(),
-                  conn.rbuf.begin() + static_cast<std::ptrdiff_t>(off));
+  // Keep the partial frame at the front for the next pass.
+  conn.rlen -= off;
+  if (off > 0 && conn.rlen > 0) {
+    std::memmove(conn.rbuf.data(), conn.rbuf.data() + off, conn.rlen);
+  }
+  return true;
+}
+
+void TcpTransport::ReadReady(int fd) {
+  const auto it = conns_.find(fd);
+  if (it == conns_.end()) return;
+  Conn& conn = it->second;
+  const bool open = FillReadBuffer(fd, conn);
+  // Frames that arrived ahead of a close are still delivered.
+  const bool alive = DispatchFrames(fd, conn);
+  // Group commit: the pass's captured frames reach the file with one
+  // write, before any reply the pass produced can leave (replies leave
+  // only from WriteReady, after this returns). Stop() inside the handler
+  // closes — and so flushes — the capture itself.
+  if (capture_.is_open()) capture_.Flush();
+  if (alive && !open) CloseConn(fd);
 }
 
 void TcpTransport::WriteReady(int fd) {
@@ -441,22 +460,21 @@ void TcpTransport::PollOnce(int timeout_ms) {
   if (!started_) return;
   AbortStalledDials(Now());
   StartDialsDue(Now());
-  std::vector<pollfd> fds;
-  fds.reserve(conns_.size() + 1);
+  pollfds_.clear();
   if (listen_fd_ >= 0) {
-    fds.push_back(pollfd{listen_fd_, POLLIN, 0});
+    pollfds_.push_back(pollfd{listen_fd_, POLLIN, 0});
   }
   for (const auto& [fd, conn] : conns_) {
     short events = POLLIN;
     if (conn.connecting || conn.woff < conn.wbuf.size()) {
       events = static_cast<short>(events | POLLOUT);
     }
-    fds.push_back(pollfd{fd, events, 0});
+    pollfds_.push_back(pollfd{fd, events, 0});
   }
   const int ready =
-      ::poll(fds.data(), static_cast<nfds_t>(fds.size()), timeout_ms);
+      ::poll(pollfds_.data(), static_cast<nfds_t>(pollfds_.size()), timeout_ms);
   if (ready <= 0) return;
-  for (const pollfd& p : fds) {
+  for (const pollfd& p : pollfds_) {
     if (p.revents == 0) continue;
     if (p.fd == listen_fd_) {
       AcceptReady();
@@ -476,6 +494,15 @@ void TcpTransport::PollOnce(int timeout_ms) {
     if ((p.revents & POLLOUT) != 0) WriteReady(p.fd);
     if ((p.revents & POLLIN) != 0) ReadReady(p.fd);
   }
+  // Send what this pass queued now rather than after the next poll()
+  // reports POLLOUT: a reply leaves in the pass that produced it.
+  pending_writes_.clear();
+  for (const auto& [fd, conn] : conns_) {
+    if (!conn.connecting && conn.woff < conn.wbuf.size()) {
+      pending_writes_.push_back(fd);
+    }
+  }
+  for (const int fd : pending_writes_) WriteReady(fd);
 }
 
 }  // namespace radar::transport

@@ -17,7 +17,17 @@
 // Brains must therefore treat unacked exchanges as refusals (HostNode
 // does) — the spool gives the control plane continuity across restarts,
 // not exactly-once semantics.
+//
+// I/O model: each PollOnce pass does each kind of I/O once, not once per
+// frame. A connection's read pass drains the socket, dispatches every whole frame (staging each into the capture), and
+// flushes the capture once — so a received frame is in the capture
+// (durable under kEveryFlush) before any reply it caused can leave the
+// process. Send encodes straight into the connection's output buffer,
+// and every connection with queued bytes is written at the end of the
+// pass that queued them.
 #pragma once
+
+#include <poll.h>
 
 #include <cstdint>
 #include <map>
@@ -38,8 +48,8 @@ class TcpTransport final : public Transport {
     /// dropped — the client's mode).
     std::string spool_dir;
     binlog::FsyncPolicy fsync = binlog::FsyncPolicy::kNone;
-    /// Append every received frame here (the replay capture); empty
-    /// disables capture.
+    /// Append every received frame here (the replay capture), flushed
+    /// once per read pass; empty disables capture.
     std::string capture_path;
     std::int64_t backoff_initial_ms = 50;
     std::int64_t backoff_max_ms = 2000;
@@ -90,7 +100,8 @@ class TcpTransport final : public Transport {
   void ConnectTo(NodeId peer);
 
   /// Runs one poll iteration: due dials, accepts, reads (frames dispatch
-  /// to the handler from here), writes. Blocks at most `timeout_ms`.
+  /// to the handler from here), then writes of everything queued —
+  /// replies included. Blocks at most `timeout_ms`.
   void PollOnce(int timeout_ms);
 
   /// Closes every socket (idempotent; the destructor calls it).
@@ -116,6 +127,7 @@ class TcpTransport final : public Transport {
     bool connecting = false;  ///< non-blocking connect() still in progress
     std::int64_t connect_deadline_us = 0;  ///< abort the dial past this
     std::vector<std::uint8_t> rbuf;
+    std::size_t rlen = 0;  ///< bytes of rbuf holding unread input
     std::vector<std::uint8_t> wbuf;
     std::size_t woff = 0;  ///< bytes of wbuf already written
   };
@@ -145,12 +157,21 @@ class TcpTransport final : public Transport {
   void OnConnected(int fd, Conn& conn);
   /// Connection is identified as `peer`: adopt it, drain the spool, notify.
   void IdentifyConn(int fd, Conn& conn, NodeId peer);
+  /// One read pass: fill rbuf, dispatch every whole frame, flush the
+  /// capture once, and close the connection if the peer closed it.
   void ReadReady(int fd);
+  /// Reads until a short read (the socket is drained); false when the
+  /// peer closed the connection (or it failed).
+  bool FillReadBuffer(int fd, Conn& conn);
+  /// Decodes and dispatches the whole frames in rbuf, staging each into
+  /// the capture. False when the connection is gone afterwards.
+  bool DispatchFrames(int fd, Conn& conn);
   void WriteReady(int fd);
   /// Tears the connection down; notifies OnPeerDown when it was the
   /// peer's identified connection.
   void CloseConn(int fd);
-  void QueueBytes(Conn& conn, const std::uint8_t* data, std::size_t size);
+  /// The connection's output buffer, compacted when fully written.
+  std::vector<std::uint8_t>& WriteBuffer(Conn& conn);
 
   const NodeConfig& config_;
   NodeId self_;
@@ -161,6 +182,8 @@ class TcpTransport final : public Transport {
   std::map<int, Conn> conns_;
   std::map<NodeId, PeerState> peers_;
   binlog::BinlogWriter capture_;
+  std::vector<pollfd> pollfds_;      ///< reused by every PollOnce
+  std::vector<int> pending_writes_;  ///< reused by every PollOnce
   std::uint64_t next_seq_ = 1;
   Stats stats_;
   bool started_ = false;

@@ -1,10 +1,13 @@
 // Tests for the append-only binlog (binlog/binlog.h) and capture replay
-// (binlog/replay.h). The torture section truncates a multi-record log at
-// every byte offset and flips bits through every region of a record
-// header, asserting the reader always returns exactly the valid prefix
-// with the right stop_reason — a writer killed mid-append costs the tail,
-// never the prefix. The replay section pins determinism: two reads of one
-// capture produce identical traces.
+// (binlog/replay.h). The staged-write section pins group commit: staged
+// records reach the file only on Flush/Close, in order, and are counted
+// once flushed. The torture section truncates a multi-record log — one
+// record per write, and one batch per write — at every byte offset and
+// flips bits through every region of a record header, asserting the
+// reader always returns exactly the valid prefix with the right
+// stop_reason — a writer killed mid-append costs the tail, never the
+// prefix. The replay section pins determinism: two reads of one capture
+// produce identical traces.
 #include <unistd.h>
 
 #include <cstdint>
@@ -74,6 +77,20 @@ void AppendAll(const std::string& path, const std::vector<Record>& records) {
   }
 }
 
+/// Stages every record and writes them with a single Flush.
+void StageAllFlushOnce(const std::string& path,
+                       const std::vector<Record>& records) {
+  BinlogWriter writer;
+  std::string error;
+  ASSERT_TRUE(writer.Open(path, FsyncPolicy::kNone, &error)) << error;
+  for (const Record& r : records) {
+    ASSERT_TRUE(writer.Stage(r.time_us, r.src, r.dst, r.payload.data(),
+                             r.payload.size()));
+  }
+  ASSERT_TRUE(writer.Flush());
+  ASSERT_EQ(writer.records_written(), records.size());
+}
+
 TEST(Crc32Test, KnownVectors) {
   // The standard IEEE check value: CRC32("123456789") == 0xCBF43926.
   const std::uint8_t digits[] = {'1', '2', '3', '4', '5', '6', '7', '8', '9'};
@@ -134,18 +151,113 @@ TEST(BinlogTest, ResetTruncatesForSpoolDrain) {
 }
 
 // ---------------------------------------------------------------------
+// Staged (group-committed) writes.
+// ---------------------------------------------------------------------
+
+TEST(BinlogStageTest, StagedRecordsReadBackInOrderAfterOneFlush) {
+  TempFile file("stage");
+  std::vector<Record> records;
+  for (int i = 0; i < 50; ++i) {
+    records.push_back(MakeRecord(i * 10, i % 3, 7, {i, i + 1, 255 - i}));
+  }
+  StageAllFlushOnce(file.path(), records);
+
+  std::string error;
+  const auto result = ReadBinlog(file.path(), &error);
+  ASSERT_TRUE(result.has_value()) << error;
+  EXPECT_TRUE(result->clean);
+  EXPECT_EQ(result->records, records);
+
+  // Group commit changes when bytes reach the file, never which bytes.
+  TempFile per_record("stage_per_record");
+  AppendAll(per_record.path(), records);
+  EXPECT_EQ(FileBytes(file.path()), FileBytes(per_record.path()));
+}
+
+TEST(BinlogStageTest, RecordsWrittenCountsOnlyFlushedRecords) {
+  TempFile file("stage_count");
+  BinlogWriter writer;
+  std::string error;
+  ASSERT_TRUE(writer.Open(file.path(), FsyncPolicy::kNone, &error)) << error;
+  const std::uint8_t b = 1;
+  ASSERT_TRUE(writer.Stage(1, 0, 1, &b, 1));
+  ASSERT_TRUE(writer.Stage(2, 0, 1, &b, 1));
+  EXPECT_EQ(writer.records_written(), 0u);
+  EXPECT_TRUE(FileBytes(file.path()).empty()) << "staging must not write";
+  ASSERT_TRUE(writer.Flush());
+  EXPECT_EQ(writer.records_written(), 2u);
+  ASSERT_TRUE(writer.Flush());  // nothing staged: a no-op
+  EXPECT_EQ(writer.records_written(), 2u);
+  ASSERT_TRUE(writer.Append(3, 0, 1, &b, 1));
+  EXPECT_EQ(writer.records_written(), 3u);
+  EXPECT_EQ(FileBytes(file.path()).size(), 3 * (kRecordHeaderSize + 1));
+}
+
+TEST(BinlogStageTest, CloseFlushesStagedRecords) {
+  TempFile file("stage_close");
+  const std::vector<Record> records = {
+      MakeRecord(5, 1, 0, {9}),
+      MakeRecord(6, 2, 0, {8, 7}),
+  };
+  {
+    BinlogWriter writer;
+    std::string error;
+    ASSERT_TRUE(writer.Open(file.path(), FsyncPolicy::kEveryFlush, &error))
+        << error;
+    for (const Record& r : records) {
+      ASSERT_TRUE(writer.Stage(r.time_us, r.src, r.dst, r.payload.data(),
+                               r.payload.size()));
+    }
+    writer.Close();
+    EXPECT_FALSE(writer.is_open());
+  }
+  std::string error;
+  const auto result = ReadBinlog(file.path(), &error);
+  ASSERT_TRUE(result.has_value()) << error;
+  EXPECT_EQ(result->records, records);
+}
+
+TEST(BinlogStageTest, StagingFlushesEarlyPastTheBound) {
+  TempFile file("stage_bound");
+  BinlogWriter writer;
+  std::string error;
+  ASSERT_TRUE(writer.Open(file.path(), FsyncPolicy::kNone, &error)) << error;
+  const std::vector<std::uint8_t> payload(1000, 0x5a);
+  const std::size_t record_size = kRecordHeaderSize + payload.size();
+  const std::size_t per_batch =
+      (kStageFlushBytes + record_size - 1) / record_size;
+  for (std::size_t i = 0; i + 1 < per_batch; ++i) {
+    ASSERT_TRUE(writer.Stage(0, 0, 1, payload.data(), payload.size()));
+  }
+  EXPECT_EQ(writer.records_written(), 0u);
+  // The record that reaches the bound flushes the whole batch.
+  ASSERT_TRUE(writer.Stage(0, 0, 1, payload.data(), payload.size()));
+  EXPECT_EQ(writer.records_written(), per_batch);
+  EXPECT_EQ(FileBytes(file.path()).size(), per_batch * record_size);
+}
+
+TEST(BinlogStageTest, ResetDiscardsStagedRecords) {
+  TempFile file("stage_reset");
+  BinlogWriter writer;
+  std::string error;
+  ASSERT_TRUE(writer.Open(file.path(), FsyncPolicy::kNone, &error)) << error;
+  const std::uint8_t b = 3;
+  ASSERT_TRUE(writer.Stage(1, 0, 1, &b, 1));
+  ASSERT_TRUE(writer.Reset());
+  writer.Close();
+  EXPECT_TRUE(FileBytes(file.path()).empty());
+  EXPECT_EQ(writer.records_written(), 0u);
+}
+
+// ---------------------------------------------------------------------
 // Torture: truncation at every byte, corruption in every header region.
 // ---------------------------------------------------------------------
 
-TEST(BinlogTorture, TruncationAtEveryByteKeepsValidPrefix) {
-  TempFile file("truncate");
-  const std::vector<Record> records = {
-      MakeRecord(10, 0, 1, {1, 2, 3, 4, 5}),
-      MakeRecord(20, 1, 2, {6, 7}),
-      MakeRecord(30, 2, 3, {8, 9, 10, 11}),
-  };
-  AppendAll(file.path(), records);
-  const auto full = FileBytes(file.path());
+/// Truncates the log holding `records` at every byte offset and checks
+/// that the reader returns exactly the records wholly inside the prefix.
+void ExpectEveryTruncationKeepsValidPrefix(const std::string& path,
+                                           const std::vector<Record>& records) {
+  const auto full = FileBytes(path);
 
   // Record boundaries (byte offsets where a clean file may end).
   std::vector<std::size_t> boundaries = {0};
@@ -187,6 +299,29 @@ TEST(BinlogTorture, TruncationAtEveryByteKeepsValidPrefix) {
       EXPECT_EQ(result->records[i], records[i]);
     }
   }
+}
+
+std::vector<Record> TruncationRecords() {
+  return {
+      MakeRecord(10, 0, 1, {1, 2, 3, 4, 5}),
+      MakeRecord(20, 1, 2, {6, 7}),
+      MakeRecord(30, 2, 3, {8, 9, 10, 11}),
+      MakeRecord(40, 3, 0, {}),
+  };
+}
+
+TEST(BinlogTorture, TruncationAtEveryByteKeepsValidPrefix) {
+  TempFile file("truncate");
+  AppendAll(file.path(), TruncationRecords());
+  ExpectEveryTruncationKeepsValidPrefix(file.path(), TruncationRecords());
+}
+
+TEST(BinlogTorture, TruncatedBatchLosesOnlyItsTail) {
+  // The whole log is one group-committed write; a writer killed partway
+  // through it leaves the batch's whole records readable.
+  TempFile file("truncate_batch");
+  StageAllFlushOnce(file.path(), TruncationRecords());
+  ExpectEveryTruncationKeepsValidPrefix(file.path(), TruncationRecords());
 }
 
 TEST(BinlogTorture, CorruptionStopsAtLastValidRecord) {

@@ -3,14 +3,17 @@
 #
 # Boots the full networked stack on 127.0.0.1 — one radar-redirectd and
 # three radar-hostd — drives a scripted workload through radar-workctl,
-# SIGKILLs one host mid-run, restarts it, and then checks the two oracles
-# the issue pins down:
+# SIGKILLs one host mid-run, restarts it, and then checks three oracles:
 #
 #   1. Conservation: after the kill/restart cycle the redirector's
 #      radar.realmode/1 summary reports objects_lost == 0 (the restarted
 #      host rebuilt its replica set from the WAL and re-announced it).
 #   2. Replay determinism: radar-replay over the captured binlog emits
 #      byte-identical radar.report/1 JSON across two invocations (cmp).
+#   3. Capture completeness: the redirector runs with --fsync, so its
+#      capture is group-committed and fsync'd once per read pass; the
+#      record count radar-replay reports equals the redirector's
+#      frames_received (group commit loses no frame on an orderly exit).
 #
 # Usage: tools/loopback_smoke.sh <build-bin-dir> [work-dir]
 #   <build-bin-dir>  directory holding radar-hostd, radar-redirectd,
@@ -74,8 +77,8 @@ start_hostd() {
 }
 
 "${BIN}/radar-redirectd" --config nodes.conf --num-objects "${NUM_OBJECTS}" \
-  --spool-dir spool --capture capture.binlog --summary redirectd.json \
-  --poll-ms 5 >redirectd.log 2>&1 &
+  --spool-dir spool --capture capture.binlog --fsync \
+  --summary redirectd.json --poll-ms 5 >redirectd.log 2>&1 &
 PIDS+=($!)
 
 start_hostd 1
@@ -155,12 +158,22 @@ grep -q '"announces_restored":0' redirectd.json \
 # --- oracle 2: replay determinism (capture -> sim is a pure function)
 [ -s capture.binlog ] || fail "capture binlog is empty"
 "${BIN}/radar-replay" --config nodes.conf --capture capture.binlog \
-  --out replay1.json || fail "radar-replay run 1 failed"
+  --out replay1.json 2>replay1.log \
+  || fail "radar-replay run 1 failed: $(cat replay1.log)"
 "${BIN}/radar-replay" --config nodes.conf --capture capture.binlog \
   --out replay2.json || fail "radar-replay run 2 failed"
 cmp replay1.json replay2.json || fail "replay JSON not byte-identical"
 grep -q '"schema": "radar.report/1"' replay1.json \
   || fail "replay output is not a radar.report/1 document"
 
+# --- oracle 3: the capture holds every frame the redirector received
+CAPTURED="$(sed -n 's/^capture: \([0-9][0-9]*\) records.*/\1/p' replay1.log)"
+RECEIVED="$(sed -n 's/.*"frames_received":\([0-9][0-9]*\).*/\1/p' \
+  redirectd.json)"
+[ -n "${CAPTURED}" ] || fail "radar-replay printed no record count"
+[ -n "${RECEIVED}" ] || fail "redirector summary has no frames_received"
+[ "${CAPTURED}" -eq "${RECEIVED}" ] \
+  || fail "capture has ${CAPTURED} records, redirector received ${RECEIVED}"
+
 echo "loopback_smoke: PASS (objects_lost=0, replay byte-identical," \
-  "work dir ${WORK})"
+  "${CAPTURED} frames captured, work dir ${WORK})"

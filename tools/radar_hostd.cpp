@@ -39,7 +39,7 @@ constexpr const char* kUsage =
     "  --state-dir DIR   replica-set WAL lives at DIR/hostd-<id>.wal\n"
     "  --spool-dir DIR   per-peer frame spools (drain on reconnect)\n"
     "  --summary FILE    write radar.hostd/1 summary JSON on exit\n"
-    "  --fsync           fsync WAL and spools after every record\n"
+    "  --fsync           fsync each WAL and spool record as it is written\n"
     "  --poll-ms MS      poll loop timeout (default 20)\n";
 
 bool ParseFlags(int argc, char** argv, Flags* flags) {
@@ -123,7 +123,7 @@ int main(int argc, char** argv) {
 
   transport::TcpTransport::Options topt;
   topt.spool_dir = flags.spool_dir;
-  topt.fsync = flags.fsync ? binlog::FsyncPolicy::kEveryRecord
+  topt.fsync = flags.fsync ? binlog::FsyncPolicy::kEveryFlush
                            : binlog::FsyncPolicy::kNone;
   transport::TcpTransport transport(*config, flags.id, wire::PeerRole::kHost,
                                     nullptr, topt);

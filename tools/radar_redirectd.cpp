@@ -39,7 +39,8 @@ constexpr const char* kUsage =
     "  --spool-dir DIR   per-peer frame spools (drain on reconnect)\n"
     "  --capture FILE    append every received frame for radar-replay\n"
     "  --summary FILE    write radar.realmode/1 summary JSON on exit\n"
-    "  --fsync           fsync spools/capture after every record\n"
+    "  --fsync           fsync each spool record, and the capture once per\n"
+    "                    read pass (before that pass's replies are sent)\n"
     "  --poll-ms MS      poll loop timeout (default 20)\n";
 
 bool ParseFlags(int argc, char** argv, Flags* flags) {
@@ -124,7 +125,7 @@ int main(int argc, char** argv) {
   transport::TcpTransport::Options topt;
   topt.spool_dir = flags.spool_dir;
   topt.capture_path = flags.capture_path;
-  topt.fsync = flags.fsync ? binlog::FsyncPolicy::kEveryRecord
+  topt.fsync = flags.fsync ? binlog::FsyncPolicy::kEveryFlush
                            : binlog::FsyncPolicy::kNone;
   transport::TcpTransport transport(*config, config->redirector(),
                                     wire::PeerRole::kRedirector, nullptr,
