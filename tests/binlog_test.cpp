@@ -98,6 +98,70 @@ TEST(Crc32Test, KnownVectors) {
   EXPECT_EQ(Crc32(nullptr, 0), 0u);
 }
 
+/// Bit-at-a-time IEEE CRC-32: the definition the table-driven Crc32 must
+/// reproduce exactly.
+std::uint32_t ReferenceCrc32(const std::uint8_t* data, std::size_t size) {
+  std::uint32_t crc = 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < size; ++i) {
+    crc ^= data[i];
+    for (int k = 0; k < 8; ++k) {
+      crc = (crc & 1u) != 0 ? 0xEDB88320u ^ (crc >> 1) : crc >> 1;
+    }
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32Test, MatchesBitwiseReferenceAtEveryLengthAndAlignment) {
+  // Every length 0-257 from every start offset 0-7 walks each split of
+  // the input into an unaligned head, whole 8-byte blocks and a tail.
+  Rng rng(0xc0ffee);
+  std::vector<std::uint8_t> bytes(8 + 257);
+  for (auto& b : bytes) b = static_cast<std::uint8_t>(rng.NextBounded(256));
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; len <= 257; ++len) {
+      const std::uint8_t* p = bytes.data() + offset;
+      ASSERT_EQ(Crc32(p, len), ReferenceCrc32(p, len))
+          << "offset " << offset << " len " << len;
+    }
+  }
+}
+
+// A capture written by the binlog writer of the v1 format's first
+// release (tests/golden/capture_v1.binlog): today's reader must decode
+// it, and today's writer must reproduce it byte for byte.
+TEST(BinlogGolden, DecodesAndReproducesTheV1Fixture) {
+  const std::string path = std::string(RADAR_GOLDEN_DIR) + "/capture_v1.binlog";
+  const auto frame = [](std::int64_t t, std::int32_t src, std::uint64_t seq,
+                        const wire::Message& msg) {
+    Record r;
+    r.time_us = t;
+    r.src = src;
+    r.dst = 0;
+    r.payload = wire::Encode(seq, msg);
+    return r;
+  };
+  std::vector<Record> expected = {
+      frame(1000, 4, 2, wire::Request{7, 3}),
+      frame(1000, 4, 3, wire::Request{0x01020304, 1}),
+      frame(1250, 1, 9, wire::PlacementStat{1, 42.5, 1.0, 17}),
+      frame(1250, 2, 10, wire::Replicate{5, 1, 2, 0.75}),
+      frame(9000000000LL, 3, 11,
+            wire::Ack{0x1122334455667788ull, true, false}),
+      MakeRecord(-5, -1, 7, {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 0xfe, 0xff, 0x80}),
+      MakeRecord(123, 0, 0, {}),
+  };
+
+  std::string error;
+  const auto result = ReadBinlog(path, &error);
+  ASSERT_TRUE(result.has_value()) << error;
+  EXPECT_TRUE(result->clean) << result->stop_reason;
+  EXPECT_EQ(result->records, expected);
+
+  TempFile rewritten("golden_rewrite");
+  StageAllFlushOnce(rewritten.path(), expected);
+  EXPECT_EQ(FileBytes(rewritten.path()), FileBytes(path));
+}
+
 TEST(BinlogTest, RoundTripAndReopenAppends) {
   TempFile file("roundtrip");
   const std::vector<Record> first = {

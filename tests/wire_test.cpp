@@ -58,6 +58,125 @@ TEST(WireGolden, HelloFrameBytes) {
   EXPECT_EQ(encoded, expected);
 }
 
+TEST(WireGolden, RedirectFrameBytes) {
+  const auto encoded = Encode(0x1112131415161718ull,
+                              Redirect{0x01020304, kInvalidNode});
+  const auto expected = Bytes({
+      0x52, 0x61, 0x44, 0x52, 0x01, 0x00,
+      0x03, 0x00,                                      // type kRedirect
+      0x08, 0x00, 0x00, 0x00,                          // len 8
+      0x18, 0x17, 0x16, 0x15, 0x14, 0x13, 0x12, 0x11,  // seq
+      0x04, 0x03, 0x02, 0x01,                          // object
+      0xff, 0xff, 0xff, 0xff,                          // host kInvalidNode
+  });
+  EXPECT_EQ(encoded, expected);
+}
+
+TEST(WireGolden, ReplicateFrameBytes) {
+  // 2.5 == 0x4004000000000000.
+  const auto encoded = Encode(4, Replicate{0x11223344, 5, 6, 2.5});
+  const auto expected = Bytes({
+      0x52, 0x61, 0x44, 0x52, 0x01, 0x00,
+      0x04, 0x00,                                      // type kReplicate
+      0x14, 0x00, 0x00, 0x00,                          // len 20
+      0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // seq 4
+      0x44, 0x33, 0x22, 0x11,                          // object
+      0x05, 0x00, 0x00, 0x00,                          // from 5
+      0x06, 0x00, 0x00, 0x00,                          // to 6
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x04, 0x40,  // unit_load 2.5
+  });
+  EXPECT_EQ(encoded, expected);
+}
+
+TEST(WireGolden, MigrateFrameBytes) {
+  // 1.5 == 0x3FF8000000000000.
+  const auto encoded = Encode(0x0a0b, Migrate{9, 1, kInvalidNode, 1.5});
+  const auto expected = Bytes({
+      0x52, 0x61, 0x44, 0x52, 0x01, 0x00,
+      0x05, 0x00,                                      // type kMigrate
+      0x14, 0x00, 0x00, 0x00,                          // len 20
+      0x0b, 0x0a, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // seq
+      0x09, 0x00, 0x00, 0x00,                          // object 9
+      0x01, 0x00, 0x00, 0x00,                          // from 1
+      0xff, 0xff, 0xff, 0xff,                          // to kInvalidNode
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xf8, 0x3f,  // unit_load 1.5
+  });
+  EXPECT_EQ(encoded, expected);
+}
+
+TEST(WireGolden, AckFrameBytes) {
+  const auto encoded = Encode(6, Ack{0x1122334455667788ull, true, false});
+  const auto expected = Bytes({
+      0x52, 0x61, 0x44, 0x52, 0x01, 0x00,
+      0x06, 0x00,                                      // type kAck
+      0x0a, 0x00, 0x00, 0x00,                          // len 10
+      0x06, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // seq 6
+      0x88, 0x77, 0x66, 0x55, 0x44, 0x33, 0x22, 0x11,  // acked_seq
+      0x01,                                            // accepted
+      0x00,                                            // created_new_copy
+  });
+  EXPECT_EQ(encoded, expected);
+  EXPECT_EQ(Encode(6, Ack{0, false, true}).back(), 0x01);
+}
+
+TEST(WireGolden, PlacementStatFrameBytes) {
+  // 100.0 == 0x4059000000000000, 1.0 == 0x3FF0000000000000.
+  const auto encoded = Encode(7, PlacementStat{3, 100.0, 1.0, 0x00010203});
+  const auto expected = Bytes({
+      0x52, 0x61, 0x44, 0x52, 0x01, 0x00,
+      0x07, 0x00,                                      // type kPlacementStat
+      0x18, 0x00, 0x00, 0x00,                          // len 24
+      0x07, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // seq 7
+      0x03, 0x00, 0x00, 0x00,                          // host 3
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x59, 0x40,  // load 100.0
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xf0, 0x3f,  // weight 1.0
+      0x03, 0x02, 0x01, 0x00,                          // num_objects
+  });
+  EXPECT_EQ(encoded, expected);
+}
+
+TEST(WireGolden, AnnounceFrameBytes) {
+  const auto encoded = Encode(8, Announce{12, 2, -2});
+  const auto expected = Bytes({
+      0x52, 0x61, 0x44, 0x52, 0x01, 0x00,
+      0x08, 0x00,                                      // type kAnnounce
+      0x0c, 0x00, 0x00, 0x00,                          // len 12
+      0x08, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // seq 8
+      0x0c, 0x00, 0x00, 0x00,                          // object 12
+      0x02, 0x00, 0x00, 0x00,                          // host 2
+      0xfe, 0xff, 0xff, 0xff,                          // affinity -2
+  });
+  EXPECT_EQ(encoded, expected);
+}
+
+TEST(WireGolden, ShutdownFrameBytes) {
+  const auto encoded = Encode(~0ull, Shutdown{});
+  const auto expected = Bytes({
+      0x52, 0x61, 0x44, 0x52, 0x01, 0x00,
+      0x09, 0x00,                                      // type kShutdown
+      0x00, 0x00, 0x00, 0x00,                          // len 0
+      0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,  // seq
+  });
+  EXPECT_EQ(encoded, expected);
+}
+
+TEST(WireGolden, EncodeAppendKeepsThePrefix) {
+  // Appending into a buffer that already holds bytes — with spare
+  // capacity, and with none — writes the frame after them and leaves
+  // them untouched.
+  const auto frame = Encode(5, Announce{1, 2, 3});
+  for (const std::size_t spare : {std::size_t{0}, std::size_t{256}}) {
+    std::vector<std::uint8_t> buf = Bytes({0xde, 0xad, 0xbe, 0xef, 0x01});
+    buf.shrink_to_fit();
+    buf.reserve(buf.size() + spare);
+    EncodeAppend(buf, 5, Announce{1, 2, 3});
+    ASSERT_EQ(buf.size(), 5 + frame.size()) << "spare " << spare;
+    EXPECT_EQ(std::vector<std::uint8_t>(buf.begin(), buf.begin() + 5),
+              Bytes({0xde, 0xad, 0xbe, 0xef, 0x01}));
+    EXPECT_TRUE(std::equal(frame.begin(), frame.end(), buf.begin() + 5));
+  }
+}
+
 TEST(WireGolden, MigrateCarriesDoubleAsBitPattern) {
   // 1.5 == 0x3FF8000000000000: the payload must hold exactly those bytes.
   const auto encoded = Encode(2, Migrate{9, 1, 2, 1.5});
