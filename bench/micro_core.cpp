@@ -2,8 +2,8 @@
 // request distribution, routing-table construction, workload sampling,
 // path-latency lookup, the event queue, host-side access counting, a
 // DispatchRequest-loop macro case over the full driver, and the real-mode
-// layers under each request: the wire encoder and the binlog capture
-// append.
+// layers under each request: the wire encoder and decoder, the CRC-32,
+// the capture's Stage/Flush and the binlog append.
 #include <benchmark/benchmark.h>
 #include <unistd.h>
 
@@ -313,6 +313,66 @@ void BM_WireEncodeAppend(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_WireEncodeAppend);
+
+// The wire decoder over one Request and one Ack frame: the transport's
+// per-frame decode.
+void BM_WireDecode(benchmark::State& state, const wire::Message& msg) {
+  const std::vector<std::uint8_t> frame = wire::Encode(12345, msg);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(frame.data());
+    benchmark::DoNotOptimize(wire::DecodeFrame(frame.data(), frame.size()));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK_CAPTURE(BM_WireDecode, Request, wire::Request{17, 7});
+BENCHMARK_CAPTURE(BM_WireDecode, Ack, wire::Ack{99, true, false});
+
+// CRC-32 over Arg bytes: 28 is one request frame (a capture record's
+// payload), 4096 the bulk rate.
+void BM_Crc32(benchmark::State& state) {
+  std::vector<std::uint8_t> bytes(static_cast<std::size_t>(state.range(0)));
+  Rng rng(1);
+  for (auto& b : bytes) b = static_cast<std::uint8_t>(rng.NextBounded(256));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(bytes.data());
+    benchmark::DoNotOptimize(binlog::Crc32(bytes.data(), bytes.size()));
+  }
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_Crc32)->Arg(28)->Arg(4096);
+
+// The capture as the redirector writes it: one Stage per received request
+// frame, one Flush per 256 records (a read pass's worth).
+void BM_CaptureStage(benchmark::State& state) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("radar_micro_capture_" + std::to_string(::getpid()) + ".bin"))
+          .string();
+  binlog::BinlogWriter writer;
+  std::string error;
+  if (!writer.Open(path, binlog::FsyncPolicy::kNone, &error)) {
+    state.SkipWithError(error.c_str());
+    return;
+  }
+  const std::vector<std::uint8_t> frame =
+      wire::Encode(1, wire::Request{17, 7});
+  std::int64_t records = 0;
+  for (auto _ : state) {
+    writer.Stage(records, 4, 0, frame.data(), frame.size());
+    if (++records % 256 == 0) {
+      benchmark::DoNotOptimize(writer.Flush());
+      if (records % (1 << 16) == 0) {
+        state.PauseTiming();  // keep the file small
+        writer.Reset();
+        state.ResumeTiming();
+      }
+    }
+  }
+  writer.Close();
+  std::remove(path.c_str());
+  state.SetItemsProcessed(records);
+}
+BENCHMARK(BM_CaptureStage);
 
 // Capture appends of one request frame each (~60 B records) into a
 // page-cache file, Arg records per Flush: /1 is the per-record write of

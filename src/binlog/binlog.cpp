@@ -10,60 +10,56 @@
 #include <sstream>
 
 #include "common/check.h"
+#include "common/endian.h"
 
 namespace radar::binlog {
 namespace {
 
-std::array<std::uint32_t, 256> BuildCrcTable() {
-  std::array<std::uint32_t, 256> table{};
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+/// Slice-by-8 tables: kCrcTables[0] is the bytewise table of the
+/// reflected polynomial, and kCrcTables[k][i] is the CRC register after
+/// byte i followed by k zero bytes, so eight table lookups advance the
+/// CRC over eight input bytes.
+constexpr CrcTables BuildCrcTables() {
+  CrcTables tables{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int k = 0; k < 8; ++k) {
       c = (c & 1u) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
     }
-    table[i] = c;
+    tables[0][i] = c;
   }
-  return table;
+  for (std::size_t k = 1; k < tables.size(); ++k) {
+    for (std::size_t i = 0; i < 256; ++i) {
+      const std::uint32_t prev = tables[k - 1][i];
+      tables[k][i] = (prev >> 8) ^ tables[0][prev & 0xffu];
+    }
+  }
+  return tables;
 }
 
-void StoreU32(std::uint8_t* p, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    p[i] = static_cast<std::uint8_t>((v >> (8 * i)) & 0xff);
-  }
-}
-
-void StoreU64(std::uint8_t* p, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    p[i] = static_cast<std::uint8_t>((v >> (8 * i)) & 0xff);
-  }
-}
-
-std::uint32_t GetU32(const std::uint8_t* p) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<std::uint32_t>(p[i]) << (8 * i);
-  }
-  return v;
-}
-
-std::uint64_t GetU64(const std::uint8_t* p) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
-  }
-  return v;
-}
+constexpr CrcTables kCrcTables = BuildCrcTables();
 
 }  // namespace
 
+// RADAR_HOT: real-mode per-frame path
 std::uint32_t Crc32(const std::uint8_t* data, std::size_t size) {
-  static const std::array<std::uint32_t, 256> table = BuildCrcTable();
+  const CrcTables& t = kCrcTables;
   std::uint32_t crc = 0xFFFFFFFFu;
-  for (std::size_t i = 0; i < size; ++i) {
-    crc = table[(crc ^ data[i]) & 0xffu] ^ (crc >> 8);
+  for (; size >= 8; data += 8, size -= 8) {
+    const std::uint32_t lo = LoadLE<std::uint32_t>(data) ^ crc;
+    const std::uint32_t hi = LoadLE<std::uint32_t>(data + 4);
+    crc = t[7][lo & 0xffu] ^ t[6][(lo >> 8) & 0xffu] ^
+          t[5][(lo >> 16) & 0xffu] ^ t[4][lo >> 24] ^ t[3][hi & 0xffu] ^
+          t[2][(hi >> 8) & 0xffu] ^ t[1][(hi >> 16) & 0xffu] ^ t[0][hi >> 24];
+  }
+  for (; size > 0; ++data, --size) {
+    crc = t[0][(crc ^ *data) & 0xffu] ^ (crc >> 8);
   }
   return crc ^ 0xFFFFFFFFu;
 }
+// RADAR_HOT_END
 
 BinlogWriter::~BinlogWriter() { Close(); }
 
@@ -92,13 +88,13 @@ bool BinlogWriter::Stage(std::int64_t time_us, std::int32_t src,
   const std::size_t at = staged_.size();
   staged_.resize(at + kRecordHeaderSize + payload_size);
   std::uint8_t* out = staged_.data() + at;
-  StoreU32(out, kRecordMagic);
-  StoreU32(out + 4, static_cast<std::uint32_t>(payload_size));
-  StoreU32(out + 8, Crc32(payload, payload_size));
-  StoreU32(out + 12, 0);  // reserved
-  StoreU64(out + 16, static_cast<std::uint64_t>(time_us));
-  StoreU32(out + 24, static_cast<std::uint32_t>(src));
-  StoreU32(out + 28, static_cast<std::uint32_t>(dst));
+  StoreLE(out, kRecordMagic);
+  StoreLE(out + 4, static_cast<std::uint32_t>(payload_size));
+  StoreLE(out + 8, Crc32(payload, payload_size));
+  StoreLE(out + 12, std::uint32_t{0});  // reserved
+  StoreLE(out + 16, time_us);
+  StoreLE(out + 24, src);
+  StoreLE(out + 28, dst);
   if (payload_size > 0) {
     std::memcpy(out + kRecordHeaderSize, payload, payload_size);
   }
@@ -181,12 +177,12 @@ std::optional<ReadResult> ReadBinlog(const std::string& path,
       break;
     }
     const std::uint8_t* h = data + pos;
-    if (GetU32(h) != kRecordMagic) {
+    if (LoadLE<std::uint32_t>(h) != kRecordMagic) {
       result.clean = false;
       result.stop_reason = "bad-magic";
       break;
     }
-    const std::uint32_t payload_len = GetU32(h + 4);
+    const auto payload_len = LoadLE<std::uint32_t>(h + 4);
     if (payload_len > kMaxRecordPayload) {
       result.clean = false;
       result.stop_reason = "bad-length";
@@ -198,15 +194,15 @@ std::optional<ReadResult> ReadBinlog(const std::string& path,
       break;
     }
     const std::uint8_t* payload = h + kRecordHeaderSize;
-    if (GetU32(h + 8) != Crc32(payload, payload_len)) {
+    if (LoadLE<std::uint32_t>(h + 8) != Crc32(payload, payload_len)) {
       result.clean = false;
       result.stop_reason = "bad-crc";
       break;
     }
     Record record;
-    record.time_us = static_cast<std::int64_t>(GetU64(h + 16));
-    record.src = static_cast<std::int32_t>(GetU32(h + 24));
-    record.dst = static_cast<std::int32_t>(GetU32(h + 28));
+    record.time_us = LoadLE<std::int64_t>(h + 16);
+    record.src = LoadLE<std::int32_t>(h + 24);
+    record.dst = LoadLE<std::int32_t>(h + 28);
     record.payload.assign(payload, payload + payload_len);
     result.records.push_back(std::move(record));
     pos += kRecordHeaderSize + payload_len;

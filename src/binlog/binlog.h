@@ -22,10 +22,15 @@
 //   4       4     payload_len  (<= kMaxRecordPayload)
 //   8       4     crc32        IEEE CRC-32 of the payload bytes
 //   12      4     reserved     0
-//   16      8     time_us      writer clock at append
+//   16      8     time_us      writer-supplied time, microseconds
 //   24      4     src          originating node
 //   28      4     dst          destination node
 //   32      n     payload      opaque bytes (wire frame, WAL op, ...)
+//
+// The CRC is computed slice-by-8 (eight table lookups per eight payload
+// bytes), bit-identical to the bytewise IEEE CRC-32. time_us is whatever
+// the writer passes: the transport stamps every capture record of one
+// read pass with that pass's single clock reading.
 //
 // The reader validates magic, length, and CRC per record and stops at the
 // first record that fails — a writer killed mid-append (torn header, torn
@@ -53,7 +58,7 @@ inline constexpr std::uint32_t kMaxRecordPayload = 1 << 20;
 /// read pass keeps the writer's buffer bounded.
 inline constexpr std::size_t kStageFlushBytes = 64 * 1024;
 
-/// IEEE CRC-32 (reflected, polynomial 0xEDB88320) of `data`.
+/// IEEE CRC-32 (reflected, polynomial 0xEDB88320) of `data`, slice-by-8.
 std::uint32_t Crc32(const std::uint8_t* data, std::size_t size);
 
 enum class FsyncPolicy : std::uint8_t {

@@ -21,8 +21,6 @@
 namespace radar::transport {
 namespace {
 
-constexpr std::size_t kReadChunk = 64 * 1024;
-
 int MakeSocket() {
   return ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
 }
@@ -110,6 +108,7 @@ void TcpTransport::Stop() {
     ::close(listen_fd_);
     listen_fd_ = -1;
   }
+  if (capture_.is_open() && !capture_.Flush()) ++stats_.capture_errors;
   capture_.Close();
   for (auto& [id, peer] : peers_) peer.spool.Close();
   started_ = false;
@@ -330,18 +329,21 @@ void TcpTransport::CloseConn(int fd) {
 }
 
 bool TcpTransport::FillReadBuffer(int fd, Conn& conn) {
+  // Grow only when short: resize zero-fills the new tail, which must not
+  // happen on every recv. What is left in rbuf is at most a partial
+  // frame, so the buffer never outgrows kReadChunk plus one frame.
+  if (conn.rbuf.size() - conn.rlen < kReadChunk) {
+    conn.rbuf.resize(conn.rlen + kReadChunk);
+    stats_.read_buffer_high_water =
+        std::max<std::uint64_t>(stats_.read_buffer_high_water,
+                                conn.rbuf.size());
+  }
   while (true) {
-    // Grow only when short: resize zero-fills the new tail, which must
-    // not happen on every recv.
-    if (conn.rbuf.size() - conn.rlen < kReadChunk) {
-      conn.rbuf.resize(conn.rlen + kReadChunk);
-    }
-    const std::size_t room = conn.rbuf.size() - conn.rlen;
-    const ssize_t n = ::recv(fd, conn.rbuf.data() + conn.rlen, room, 0);
+    const ssize_t n =
+        ::recv(fd, conn.rbuf.data() + conn.rlen, kReadChunk, 0);
     if (n > 0) {
       conn.rlen += static_cast<std::size_t>(n);
-      if (static_cast<std::size_t>(n) < room) return true;
-      continue;
+      return true;
     }
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return true;
     if (n < 0 && errno == EINTR) continue;
@@ -349,7 +351,8 @@ bool TcpTransport::FillReadBuffer(int fd, Conn& conn) {
   }
 }
 
-bool TcpTransport::DispatchFrames(int fd, Conn& conn) {
+bool TcpTransport::DispatchFrames(int fd, Conn& conn,
+                                  std::int64_t pass_us) {
   std::size_t off = 0;
   while (off < conn.rlen) {
     const wire::DecodeResult decoded =
@@ -378,8 +381,9 @@ bool TcpTransport::DispatchFrames(int fd, Conn& conn) {
     }
     if (std::holds_alternative<wire::Hello>(decoded.frame.msg)) continue;
     ++stats_.frames_received;
-    if (capture_.is_open()) {
-      capture_.Stage(Now(), conn.peer, self_, frame_bytes, frame_size);
+    if (capture_.is_open() &&
+        !capture_.Stage(pass_us, conn.peer, self_, frame_bytes, frame_size)) {
+      ++stats_.capture_errors;
     }
     handler_->OnFrame(conn.peer, decoded.frame);
     // The handler may have closed this very connection (e.g. Stop()).
@@ -400,13 +404,16 @@ void TcpTransport::ReadReady(int fd) {
   if (it == conns_.end()) return;
   Conn& conn = it->second;
   const bool open = FillReadBuffer(fd, conn);
+  // Every frame of the pass came from the same recv: one clock read
+  // stamps all of their capture records.
+  const std::int64_t pass_us = capture_.is_open() ? Now() : 0;
   // Frames that arrived ahead of a close are still delivered.
-  const bool alive = DispatchFrames(fd, conn);
+  const bool alive = DispatchFrames(fd, conn, pass_us);
   // Group commit: the pass's captured frames reach the file with one
   // write, before any reply the pass produced can leave (replies leave
   // only from WriteReady, after this returns). Stop() inside the handler
   // closes — and so flushes — the capture itself.
-  if (capture_.is_open()) capture_.Flush();
+  if (capture_.is_open() && !capture_.Flush()) ++stats_.capture_errors;
   if (alive && !open) CloseConn(fd);
 }
 

@@ -19,12 +19,17 @@
 // not exactly-once semantics.
 //
 // I/O model: each PollOnce pass does each kind of I/O once, not once per
-// frame. A connection's read pass drains the socket, dispatches every whole frame (staging each into the capture), and
-// flushes the capture once — so a received frame is in the capture
-// (durable under kEveryFlush) before any reply it caused can leave the
-// process. Send encodes straight into the connection's output buffer,
-// and every connection with queued bytes is written at the end of the
-// pass that queued them.
+// frame. A connection's read pass is one recv of at most kReadChunk
+// bytes (a peer that keeps the socket full is read over several passes,
+// so the read buffer stays bounded by kReadChunk plus one partial
+// frame). The pass dispatches every whole frame, staging each into the
+// capture under one clock reading taken for the whole pass, and flushes
+// the capture once — so a received frame is in the capture (durable
+// under kEveryFlush) before any reply it caused can leave the process.
+// A capture write that fails is counted in Stats::capture_errors; the
+// frames are still delivered. Send encodes straight into the
+// connection's output buffer, and every connection with queued bytes is
+// written at the end of the pass that queued them.
 #pragma once
 
 #include <poll.h>
@@ -42,6 +47,9 @@ namespace radar::transport {
 
 class TcpTransport final : public Transport {
  public:
+  /// Most bytes one read pass takes from a socket.
+  static constexpr std::size_t kReadChunk = 64 * 1024;
+
   struct Options {
     /// Directory for per-peer spool files ("spool-<self>-to-<peer>.binlog");
     /// empty disables spooling (frames to a down peer are counted and
@@ -77,6 +85,11 @@ class TcpTransport final : public Transport {
     std::uint64_t disconnects = 0;
     std::uint64_t decode_errors = 0;   ///< connections dropped on bad bytes
     std::uint64_t connect_timeouts = 0;  ///< dials aborted at the deadline
+    /// Capture writes that failed (a failed Stage or Flush loses the
+    /// records staged in it; the frames themselves are still delivered).
+    std::uint64_t capture_errors = 0;
+    /// Largest read buffer any connection has held, in bytes.
+    std::uint64_t read_buffer_high_water = 0;
   };
 
   /// `config` and `handler` must outlive the transport. `handler` may be
@@ -160,12 +173,13 @@ class TcpTransport final : public Transport {
   /// One read pass: fill rbuf, dispatch every whole frame, flush the
   /// capture once, and close the connection if the peer closed it.
   void ReadReady(int fd);
-  /// Reads until a short read (the socket is drained); false when the
-  /// peer closed the connection (or it failed).
+  /// One recv of at most kReadChunk bytes; false when the peer closed
+  /// the connection (or it failed).
   bool FillReadBuffer(int fd, Conn& conn);
   /// Decodes and dispatches the whole frames in rbuf, staging each into
-  /// the capture. False when the connection is gone afterwards.
-  bool DispatchFrames(int fd, Conn& conn);
+  /// the capture stamped `pass_us`. False when the connection is gone
+  /// afterwards.
+  bool DispatchFrames(int fd, Conn& conn, std::int64_t pass_us);
   void WriteReady(int fd);
   /// Tears the connection down; notifies OnPeerDown when it was the
   /// peer's identified connection.

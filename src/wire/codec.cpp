@@ -1,235 +1,12 @@
 #include "wire/codec.h"
 
 #include <bit>
-#include <cstring>
 
 #include "common/check.h"
+#include "common/endian.h"
 
 namespace radar::wire {
 namespace {
-
-// ---------------------------------------------------------------------
-// Byte-order helpers. The wire is little-endian; these spell the byte
-// shuffles explicitly so the codec is correct on any host order.
-// ---------------------------------------------------------------------
-
-void PutU8(std::vector<std::uint8_t>& out, std::uint8_t v) {
-  out.push_back(v);
-}
-
-void PutU16(std::vector<std::uint8_t>& out, std::uint16_t v) {
-  out.push_back(static_cast<std::uint8_t>(v & 0xff));
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
-}
-
-void PutU32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::uint8_t>((v >> (8 * i)) & 0xff));
-  }
-}
-
-void PutU64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<std::uint8_t>((v >> (8 * i)) & 0xff));
-  }
-}
-
-void PutNode(std::vector<std::uint8_t>& out, NodeId v) {
-  PutU32(out, static_cast<std::uint32_t>(v));
-}
-
-void PutF64(std::vector<std::uint8_t>& out, double v) {
-  PutU64(out, std::bit_cast<std::uint64_t>(v));
-}
-
-/// Bounds-checked little-endian reader over one payload. Every Get
-/// aborts the decode (ok() false) instead of reading past the end, so a
-/// short payload can never become an out-of-bounds read.
-class Reader {
- public:
-  Reader(const std::uint8_t* data, std::size_t size)
-      : data_(data), size_(size) {}
-
-  bool ok() const { return ok_; }
-  /// True when the payload was consumed exactly (strict decode: trailing
-  /// bytes are a payload error, not padding).
-  bool Exhausted() const { return ok_ && pos_ == size_; }
-
-  std::uint8_t U8() {
-    if (!Require(1)) return 0;
-    return data_[pos_++];
-  }
-
-  std::uint16_t U16() {
-    if (!Require(2)) return 0;
-    const std::uint16_t v = static_cast<std::uint16_t>(
-        static_cast<std::uint16_t>(data_[pos_]) |
-        static_cast<std::uint16_t>(data_[pos_ + 1]) << 8);
-    pos_ += 2;
-    return v;
-  }
-
-  std::uint32_t U32() {
-    if (!Require(4)) return 0;
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<std::uint32_t>(data_[pos_ + static_cast<std::size_t>(i)])
-           << (8 * i);
-    }
-    pos_ += 4;
-    return v;
-  }
-
-  std::uint64_t U64() {
-    if (!Require(8)) return 0;
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<std::uint64_t>(data_[pos_ + static_cast<std::size_t>(i)])
-           << (8 * i);
-    }
-    pos_ += 8;
-    return v;
-  }
-
-  NodeId Node() { return static_cast<NodeId>(U32()); }
-  double F64() { return std::bit_cast<double>(U64()); }
-
- private:
-  bool Require(std::size_t n) {
-    if (!ok_ || size_ - pos_ < n) {
-      ok_ = false;
-      return false;
-    }
-    return true;
-  }
-
-  const std::uint8_t* data_;
-  std::size_t size_;
-  std::size_t pos_ = 0;
-  bool ok_ = true;
-};
-
-void EncodePayload(std::vector<std::uint8_t>& out, const Message& msg) {
-  std::visit(
-      [&out](const auto& m) {
-        using T = std::decay_t<decltype(m)>;
-        if constexpr (std::is_same_v<T, Hello>) {
-          PutNode(out, m.node);
-          PutU8(out, static_cast<std::uint8_t>(m.role));
-        } else if constexpr (std::is_same_v<T, Request>) {
-          PutU32(out, static_cast<std::uint32_t>(m.object));
-          PutNode(out, m.gateway);
-        } else if constexpr (std::is_same_v<T, Redirect>) {
-          PutU32(out, static_cast<std::uint32_t>(m.object));
-          PutNode(out, m.host);
-        } else if constexpr (std::is_same_v<T, Replicate> ||
-                             std::is_same_v<T, Migrate>) {
-          PutU32(out, static_cast<std::uint32_t>(m.object));
-          PutNode(out, m.from);
-          PutNode(out, m.to);
-          PutF64(out, m.unit_load);
-        } else if constexpr (std::is_same_v<T, Ack>) {
-          PutU64(out, m.acked_seq);
-          PutU8(out, m.accepted ? 1 : 0);
-          PutU8(out, m.created_new_copy ? 1 : 0);
-        } else if constexpr (std::is_same_v<T, PlacementStat>) {
-          PutNode(out, m.host);
-          PutF64(out, m.load);
-          PutF64(out, m.weight);
-          PutU32(out, m.num_objects);
-        } else if constexpr (std::is_same_v<T, Announce>) {
-          PutU32(out, static_cast<std::uint32_t>(m.object));
-          PutNode(out, m.host);
-          PutU32(out, static_cast<std::uint32_t>(m.affinity));
-        } else {
-          static_assert(std::is_same_v<T, Shutdown>);
-        }
-      },
-      msg);
-}
-
-/// Decodes one payload; returns false on any range violation (short or
-/// long payload, out-of-range enum/flag byte).
-bool DecodePayload(MsgType type, const std::uint8_t* data, std::size_t size,
-                   Message* out) {
-  Reader r(data, size);
-  switch (type) {
-    case MsgType::kHello: {
-      Hello m;
-      m.node = r.Node();
-      const std::uint8_t role = r.U8();
-      if (role > static_cast<std::uint8_t>(PeerRole::kClient)) return false;
-      m.role = static_cast<PeerRole>(role);
-      *out = m;
-      break;
-    }
-    case MsgType::kRequest: {
-      Request m;
-      m.object = static_cast<ObjectId>(r.U32());
-      m.gateway = r.Node();
-      *out = m;
-      break;
-    }
-    case MsgType::kRedirect: {
-      Redirect m;
-      m.object = static_cast<ObjectId>(r.U32());
-      m.host = r.Node();
-      *out = m;
-      break;
-    }
-    case MsgType::kReplicate: {
-      Replicate m;
-      m.object = static_cast<ObjectId>(r.U32());
-      m.from = r.Node();
-      m.to = r.Node();
-      m.unit_load = r.F64();
-      *out = m;
-      break;
-    }
-    case MsgType::kMigrate: {
-      Migrate m;
-      m.object = static_cast<ObjectId>(r.U32());
-      m.from = r.Node();
-      m.to = r.Node();
-      m.unit_load = r.F64();
-      *out = m;
-      break;
-    }
-    case MsgType::kAck: {
-      Ack m;
-      m.acked_seq = r.U64();
-      const std::uint8_t accepted = r.U8();
-      const std::uint8_t created = r.U8();
-      if (accepted > 1 || created > 1) return false;
-      m.accepted = accepted != 0;
-      m.created_new_copy = created != 0;
-      *out = m;
-      break;
-    }
-    case MsgType::kPlacementStat: {
-      PlacementStat m;
-      m.host = r.Node();
-      m.load = r.F64();
-      m.weight = r.F64();
-      m.num_objects = r.U32();
-      *out = m;
-      break;
-    }
-    case MsgType::kAnnounce: {
-      Announce m;
-      m.object = static_cast<ObjectId>(r.U32());
-      m.host = r.Node();
-      m.affinity = static_cast<std::int32_t>(r.U32());
-      *out = m;
-      break;
-    }
-    case MsgType::kShutdown: {
-      *out = Shutdown{};
-      break;
-    }
-  }
-  return r.Exhausted();
-}
 
 bool ValidType(std::uint16_t type) {
   return type >= static_cast<std::uint16_t>(MsgType::kHello) &&
@@ -303,27 +80,129 @@ std::uint32_t PayloadSize(MsgType type) {
   return 0;
 }
 
-void EncodeAppend(std::vector<std::uint8_t>& out, std::uint64_t seq,
-                  const Message& msg) {
-  const MsgType type = TypeOf(msg);
-  const std::size_t header_at = out.size();
-  PutU32(out, kMagic);
-  PutU16(out, kVersion);
-  PutU16(out, static_cast<std::uint16_t>(type));
-  PutU32(out, PayloadSize(type));
-  PutU64(out, seq);
-  const std::size_t payload_at = out.size();
-  EncodePayload(out, msg);
-  RADAR_CHECK_EQ(out.size() - payload_at,
-                 static_cast<std::size_t>(PayloadSize(type)));
-  RADAR_CHECK_EQ(payload_at - header_at, kHeaderSize);
-}
-
 std::vector<std::uint8_t> Encode(std::uint64_t seq, const Message& msg) {
   std::vector<std::uint8_t> out;
   out.reserve(kHeaderSize + PayloadSize(TypeOf(msg)));
   EncodeAppend(out, seq, msg);
   return out;
+}
+
+// RADAR_HOT: real-mode per-frame path
+namespace {
+
+/// Writes the payload of `msg` at `p`, field after field at the offsets
+/// of the frame layout; returns the byte after the last field.
+std::uint8_t* EncodePayload(std::uint8_t* p, const Message& msg) {
+  return std::visit(
+      [p](const auto& m) mutable {
+        using T = std::decay_t<decltype(m)>;
+        if constexpr (std::is_same_v<T, Hello>) {
+          p = StoreLE(p, m.node);
+          p = StoreLE(p, static_cast<std::uint8_t>(m.role));
+        } else if constexpr (std::is_same_v<T, Request>) {
+          p = StoreLE(p, m.object);
+          p = StoreLE(p, m.gateway);
+        } else if constexpr (std::is_same_v<T, Redirect>) {
+          p = StoreLE(p, m.object);
+          p = StoreLE(p, m.host);
+        } else if constexpr (std::is_same_v<T, Replicate> ||
+                             std::is_same_v<T, Migrate>) {
+          p = StoreLE(p, m.object);
+          p = StoreLE(p, m.from);
+          p = StoreLE(p, m.to);
+          p = StoreLE(p, std::bit_cast<std::uint64_t>(m.unit_load));
+        } else if constexpr (std::is_same_v<T, Ack>) {
+          p = StoreLE(p, m.acked_seq);
+          p = StoreLE(p, static_cast<std::uint8_t>(m.accepted ? 1 : 0));
+          p = StoreLE(p, static_cast<std::uint8_t>(m.created_new_copy ? 1 : 0));
+        } else if constexpr (std::is_same_v<T, PlacementStat>) {
+          p = StoreLE(p, m.host);
+          p = StoreLE(p, std::bit_cast<std::uint64_t>(m.load));
+          p = StoreLE(p, std::bit_cast<std::uint64_t>(m.weight));
+          p = StoreLE(p, m.num_objects);
+        } else if constexpr (std::is_same_v<T, Announce>) {
+          p = StoreLE(p, m.object);
+          p = StoreLE(p, m.host);
+          p = StoreLE(p, m.affinity);
+        } else {
+          static_assert(std::is_same_v<T, Shutdown>);
+        }
+        return p;
+      },
+      msg);
+}
+
+double LoadF64(const std::uint8_t* p) {
+  return std::bit_cast<double>(LoadLE<std::uint64_t>(p));
+}
+
+/// Decodes the payload at `p`, which holds exactly PayloadSize(type)
+/// bytes (DecodeFrame checked the length), so every field is read at its
+/// fixed offset without a bounds check. Returns false on a range
+/// violation (out-of-range enum or flag byte).
+bool DecodePayload(MsgType type, const std::uint8_t* p, Message* out) {
+  switch (type) {
+    case MsgType::kHello: {
+      const std::uint8_t role = p[4];
+      if (role > static_cast<std::uint8_t>(PeerRole::kClient)) return false;
+      *out = Hello{LoadLE<NodeId>(p), static_cast<PeerRole>(role)};
+      return true;
+    }
+    case MsgType::kRequest:
+      *out = Request{LoadLE<ObjectId>(p), LoadLE<NodeId>(p + 4)};
+      return true;
+    case MsgType::kRedirect:
+      *out = Redirect{LoadLE<ObjectId>(p), LoadLE<NodeId>(p + 4)};
+      return true;
+    case MsgType::kReplicate:
+      *out = Replicate{LoadLE<ObjectId>(p), LoadLE<NodeId>(p + 4),
+                       LoadLE<NodeId>(p + 8), LoadF64(p + 12)};
+      return true;
+    case MsgType::kMigrate:
+      *out = Migrate{LoadLE<ObjectId>(p), LoadLE<NodeId>(p + 4),
+                     LoadLE<NodeId>(p + 8), LoadF64(p + 12)};
+      return true;
+    case MsgType::kAck: {
+      const std::uint8_t accepted = p[8];
+      const std::uint8_t created = p[9];
+      if (accepted > 1 || created > 1) return false;
+      *out = Ack{LoadLE<std::uint64_t>(p), accepted != 0, created != 0};
+      return true;
+    }
+    case MsgType::kPlacementStat:
+      *out = PlacementStat{LoadLE<NodeId>(p), LoadF64(p + 4), LoadF64(p + 12),
+                           LoadLE<std::uint32_t>(p + 20)};
+      return true;
+    case MsgType::kAnnounce:
+      *out = Announce{LoadLE<ObjectId>(p), LoadLE<NodeId>(p + 4),
+                      LoadLE<std::int32_t>(p + 8)};
+      return true;
+    case MsgType::kShutdown:
+      *out = Shutdown{};
+      return true;
+  }
+  return false;
+}
+
+}  // namespace
+
+void EncodeAppend(std::vector<std::uint8_t>& out, std::uint64_t seq,
+                  const Message& msg) {
+  const MsgType type = TypeOf(msg);
+  const std::uint32_t len = PayloadSize(type);
+  // Grow once, then store every field through a pointer.
+  const std::size_t header_at = out.size();
+  out.resize(header_at + kHeaderSize + len);
+  std::uint8_t* const frame = out.data() + header_at;
+  std::uint8_t* p = StoreLE(frame, kMagic);
+  p = StoreLE(p, kVersion);
+  p = StoreLE(p, static_cast<std::uint16_t>(type));
+  p = StoreLE(p, len);
+  std::uint8_t* const payload = StoreLE(p, seq);
+  const std::uint8_t* const end = EncodePayload(payload, msg);
+  RADAR_CHECK_EQ(static_cast<std::size_t>(end - payload),
+                 static_cast<std::size_t>(len));
+  RADAR_CHECK_EQ(static_cast<std::size_t>(payload - frame), kHeaderSize);
 }
 
 DecodeResult DecodeFrame(const std::uint8_t* data, std::size_t size) {
@@ -338,27 +217,17 @@ DecodeResult DecodeFrame(const std::uint8_t* data, std::size_t size) {
       return result;
     }
   }
-  if (size >= 6) {
-    const std::uint16_t version = static_cast<std::uint16_t>(
-        static_cast<std::uint16_t>(data[4]) |
-        static_cast<std::uint16_t>(data[5]) << 8);
-    if (version != kVersion) {
-      result.status = DecodeStatus::kBadVersion;
-      return result;
-    }
+  if (size >= 6 && LoadLE<std::uint16_t>(data + 4) != kVersion) {
+    result.status = DecodeStatus::kBadVersion;
+    return result;
   }
   if (size < kHeaderSize) {
     result.status = DecodeStatus::kNeedMore;
     return result;
   }
 
-  Reader header(data, kHeaderSize);
-  header.U32();  // magic (validated above)
-  header.U16();  // version (validated above)
-  const std::uint16_t raw_type = header.U16();
-  const std::uint32_t len = header.U32();
-  const std::uint64_t seq = header.U64();
-
+  const std::uint16_t raw_type = LoadLE<std::uint16_t>(data + 6);
+  const std::uint32_t len = LoadLE<std::uint32_t>(data + 8);
   if (len > kMaxPayload) {
     result.status = DecodeStatus::kBadLength;
     return result;
@@ -376,14 +245,15 @@ DecodeResult DecodeFrame(const std::uint8_t* data, std::size_t size) {
     result.status = DecodeStatus::kNeedMore;
     return result;
   }
-  if (!DecodePayload(type, data + kHeaderSize, len, &result.frame.msg)) {
+  if (!DecodePayload(type, data + kHeaderSize, &result.frame.msg)) {
     result.status = DecodeStatus::kBadPayload;
     return result;
   }
-  result.frame.seq = seq;
+  result.frame.seq = LoadLE<std::uint64_t>(data + 12);
   result.status = DecodeStatus::kOk;
   result.consumed = kHeaderSize + len;
   return result;
 }
+// RADAR_HOT_END
 
 }  // namespace radar::wire

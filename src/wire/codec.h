@@ -15,6 +15,12 @@
 // of failing, and no input — fuzzed, bit-flipped, or truncated — reaches
 // undefined behaviour (the codec property tests run under ASan/UBSan).
 // Doubles travel as their IEEE-754 bit patterns in a u64.
+//
+// Every payload has a fixed size per type, so the codec is fixed-offset:
+// EncodeAppend grows the buffer once by the frame size and stores each
+// field at its offset, and DecodeFrame, once the header's len matches
+// the type and the bytes are present, loads each field at its offset
+// with no per-field bounds check (common/endian.h does the byte order).
 #pragma once
 
 #include <cstdint>
@@ -57,7 +63,8 @@ struct DecodeResult {
 std::vector<std::uint8_t> Encode(std::uint64_t seq, const Message& msg);
 
 /// Appends the encoded frame to `out` (the transport's per-connection
-/// output buffer path; avoids the temporary).
+/// output buffer path; avoids the temporary). Bytes already in `out`
+/// are kept.
 void EncodeAppend(std::vector<std::uint8_t>& out, std::uint64_t seq,
                   const Message& msg);
 

@@ -223,9 +223,12 @@ class HookRecorder : public Recorder {
 
 /// Node 0's TcpTransport (capturing) plus a raw non-blocking socket that
 /// plays node 2, the client: the test writes the client's bytes by hand.
+/// The capture goes to a temp file the harness owns, or to
+/// `capture_path` when one is given.
 class TcpHarness {
  public:
-  TcpHarness() {
+  explicit TcpHarness(std::string capture_path = {})
+      : owns_capture_(capture_path.empty()) {
     const std::string text = "0 redirector 127.0.0.1 " +
                              std::to_string(FreePort()) +
                              "\n1 host 127.0.0.1 " +
@@ -235,9 +238,11 @@ class TcpHarness {
     auto config = Parse(text, &error);
     RADAR_CHECK_MSG(config.has_value(), "loopback config must parse");
     config_ = std::make_unique<NodeConfig>(*std::move(config));
-    capture_path_ = testing::TempDir() + "radar_tcp_capture_" +
-                    std::to_string(::getpid()) + ".binlog";
-    std::remove(capture_path_.c_str());
+    capture_path_ = owns_capture_
+                        ? testing::TempDir() + "radar_tcp_capture_" +
+                              std::to_string(::getpid()) + ".binlog"
+                        : std::move(capture_path);
+    if (owns_capture_) std::remove(capture_path_.c_str());
     TcpTransport::Options options;
     options.capture_path = capture_path_;
     transport_ = std::make_unique<TcpTransport>(
@@ -258,7 +263,7 @@ class TcpHarness {
   ~TcpHarness() {
     ClosePeer();
     transport_.reset();
-    std::remove(capture_path_.c_str());
+    if (owns_capture_) std::remove(capture_path_.c_str());
   }
 
   /// Writes every byte, polling the transport whenever the socket is
@@ -334,6 +339,7 @@ class TcpHarness {
     return read->records;
   }
 
+  bool owns_capture_;
   HookRecorder handler_;
   std::unique_ptr<NodeConfig> config_;
   std::unique_ptr<TcpTransport> transport_;
@@ -350,6 +356,39 @@ std::vector<std::uint8_t> RequestFrames(ObjectId first, int count) {
                        wire::Request{x, kTcpPeer});
   }
   return bytes;
+}
+
+/// Checks that the handler saw the Request frames 0..count-1 from the
+/// peer, in order, then stops the transport and checks that the capture
+/// holds exactly the `sent` bytes, one record per frame, with
+/// non-decreasing times.
+void ExpectInOrderAndCaptured(TcpHarness& h, std::size_t count,
+                              const std::vector<std::uint8_t>& sent) {
+  ASSERT_EQ(h.handler_.seen.size(), count);
+  for (std::size_t i = 0; i < count; ++i) {
+    const auto& seen = h.handler_.seen[i];
+    EXPECT_EQ(seen.from, kTcpPeer);
+    ASSERT_EQ(seen.frame.seq, i) << "frame " << i;
+    ASSERT_EQ(std::get<wire::Request>(seen.frame.msg),
+              (wire::Request{static_cast<ObjectId>(i), kTcpPeer}));
+  }
+  EXPECT_EQ(h.transport_->stats().frames_received, count);
+  EXPECT_EQ(h.transport_->stats().decode_errors, 0u);
+  EXPECT_EQ(h.transport_->stats().capture_errors, 0u);
+
+  h.transport_->Stop();
+  const std::vector<binlog::Record> records = h.CaptureRecords();
+  ASSERT_EQ(records.size(), count);
+  std::vector<std::uint8_t> captured;
+  std::int64_t last_us = 0;
+  for (const binlog::Record& rec : records) {
+    EXPECT_EQ(rec.src, kTcpPeer);
+    EXPECT_EQ(rec.dst, kTcpSelf);
+    EXPECT_GE(rec.time_us, last_us);
+    last_us = rec.time_us;
+    captured.insert(captured.end(), rec.payload.begin(), rec.payload.end());
+  }
+  EXPECT_EQ(captured, sent);
 }
 
 TEST(TcpTransportTest, ChunkedAndBurstInputDeliversEveryFrameInOrder) {
@@ -377,30 +416,43 @@ TEST(TcpTransportTest, ChunkedAndBurstInputDeliversEveryFrameInOrder) {
   constexpr std::size_t kTotal = kChunked + 5000;
   h.PollUntil([&] { return h.handler_.seen.size() >= kTotal; });
 
-  ASSERT_EQ(h.handler_.seen.size(), kTotal);
-  for (std::size_t i = 0; i < kTotal; ++i) {
-    const auto& seen = h.handler_.seen[i];
-    EXPECT_EQ(seen.from, kTcpPeer);
-    ASSERT_EQ(seen.frame.seq, i) << "frame " << i;
-    EXPECT_EQ(std::get<wire::Request>(seen.frame.msg),
-              (wire::Request{static_cast<ObjectId>(i), kTcpPeer}));
-  }
-  EXPECT_EQ(h.transport_->stats().frames_received, kTotal);
-  EXPECT_EQ(h.transport_->stats().decode_errors, 0u);
-
-  // The capture holds exactly the received frames, byte for byte.
-  h.transport_->Stop();
-  const std::vector<binlog::Record> records = h.CaptureRecords();
-  ASSERT_EQ(records.size(), h.transport_->stats().frames_received);
-  std::vector<std::uint8_t> captured;
-  for (const binlog::Record& rec : records) {
-    EXPECT_EQ(rec.src, kTcpPeer);
-    EXPECT_EQ(rec.dst, kTcpSelf);
-    captured.insert(captured.end(), rec.payload.begin(), rec.payload.end());
-  }
   std::vector<std::uint8_t> sent = dribble;
   sent.insert(sent.end(), burst.begin(), burst.end());
-  EXPECT_EQ(captured, sent);
+  ExpectInOrderAndCaptured(h, kTotal, sent);
+}
+
+TEST(TcpTransportTest, ReadPassIsBoundedUnderASustainedBurst) {
+  TcpHarness h;
+  h.Identify();
+  // 4 MiB of frames, written as fast as the socket takes them: each read
+  // pass takes at most kReadChunk, so the read buffer never holds more
+  // than one chunk plus a partial frame, however far the peer is ahead.
+  const int count =
+      static_cast<int>((4u << 20) / (wire::kHeaderSize + 8)) + 1;
+  const std::vector<std::uint8_t> burst = RequestFrames(0, count);
+  ASSERT_GE(burst.size(), 4u << 20);
+  h.PeerWrite(burst);
+  h.PollUntil([&] {
+    return h.handler_.seen.size() >= static_cast<std::size_t>(count);
+  });
+
+  const std::uint64_t high_water =
+      h.transport_->stats().read_buffer_high_water;
+  EXPECT_GT(high_water, 0u);
+  EXPECT_LE(high_water, TcpTransport::kReadChunk + wire::kHeaderSize +
+                            wire::kMaxPayload);
+  ExpectInOrderAndCaptured(h, static_cast<std::size_t>(count), burst);
+}
+
+TEST(TcpTransportTest, CaptureWriteFailuresAreCountedAndFramesDelivered) {
+  // /dev/full accepts the open and fails every write with ENOSPC.
+  TcpHarness h("/dev/full");
+  h.Identify();
+  h.PeerWrite(RequestFrames(0, 50));
+  h.PollUntil([&] { return h.handler_.seen.size() >= 50; });
+  EXPECT_EQ(h.handler_.seen.size(), 50u);
+  EXPECT_EQ(h.transport_->stats().frames_received, 50u);
+  EXPECT_GT(h.transport_->stats().capture_errors, 0u);
 }
 
 TEST(TcpTransportTest, StopInsideHandlerFlushesTheStagedCapture) {

@@ -99,7 +99,8 @@ void WriteSummary(const std::string& path, const Flags& flags,
       << ",\"frames_sent\":" << t.frames_sent
       << ",\"frames_received\":" << t.frames_received
       << ",\"frames_spooled\":" << t.frames_spooled
-      << ",\"frames_drained\":" << t.frames_drained << "}\n";
+      << ",\"frames_drained\":" << t.frames_drained
+      << ",\"capture_errors\":" << t.capture_errors << "}\n";
 }
 
 }  // namespace
